@@ -22,6 +22,7 @@ __all__ = [
     "process_hwm_mb",
     "word_errors_cm",
     "add_percentile",
+    "tail_percentiles",
     "overhead_share",
     "settle",
 ]
@@ -93,6 +94,13 @@ def add_percentile(outcome: Outcome, name: str, samples, q: float, unit: str,
                       f"too few samples for p{q:g}")
         return
     outcome.put(name, value * scale, unit, len(samples))
+
+
+def tail_percentiles(samples, qs=(90, 99), scale: float = 1.0) -> dict:
+    """Percentiles ``qs`` of ``samples`` for the ``info`` lines; a
+    percentile the sample cannot support shows as ``None``."""
+    values = {f"p{q:g}": percentile(samples, q) for q in qs}
+    return {key: None if value is None else value * scale for key, value in values.items()}
 
 
 def settle() -> None:

@@ -1,6 +1,6 @@
-"""``fleet_serve``: twelve writers, real time, through the sharded service.
+"""``fleet_serve``: sixteen writers, real time, through the sharded service.
 
-The serving operator's path. The merged stream of twelve writers, with
+The serving operator's path. The merged stream of sixteen writers, with
 light testbed faults (drops, duplicates and reorders shorter than the
 idle timeout), is sent at its real timestamps into a
 ``TrackingService`` with ``min(2, cores)`` shards and the corpus
@@ -42,14 +42,14 @@ from .common import (
     Phases,
     process_hwm_mb,
     settle,
+    tail_percentiles,
     word_errors_cm,
 )
 from .inputs import WordPool, build_system, merged_stream, schedule_writers
 from .openloop import Schedule, due_offsets
-from .stats import percentile
 from .tracing import SpanRecorder
 
-WRITERS = 12
+WRITERS = 16
 SHARDS = max(1, min(2, os.cpu_count() or 1))
 BURST_SIZE = 256
 CONFIG = SessionConfig(idle_timeout=0.3, retain_results=64, out_of_order="drop")
@@ -90,7 +90,11 @@ async def start_service(system, factory, shards: int, **service_kwargs):
     Returns ``(service, setup_seconds, worker_pids)``.
     """
     loop = asyncio.get_running_loop()
-    queue = multiprocessing.get_context().Queue()
+    # The service forks its workers where it can, and the queue they report
+    # on comes from the same context: a spawn or forkserver queue would
+    # start a resource-tracker process that can outlive the run.
+    methods = multiprocessing.get_all_start_methods()
+    queue = multiprocessing.get_context("fork" if "fork" in methods else None).Queue()
     start = perf_counter()
     service = TrackingService(
         system, shards=shards, config=CONFIG,
@@ -353,9 +357,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
                 continue
             point_latency.extend(
                 arrived - schedule.due(index) for arrived, index in zip(arrivals, completed_by))
-        outcome.info["point_latency_ms_tail"] = {
-            f"p{q}": 1e3 * percentile(point_latency, q) for q in (90, 99)
-        }
+        outcome.info["point_latency_ms_tail"] = tail_percentiles(point_latency, scale=1e3)
         outcome.put("setup_s", statistics.median(setups), "s", len(setups))
         add_percentile(outcome, "point_latency_ms_p50", point_latency, 50, "ms", 1e3)
         add_percentile(outcome, "word_latency_ms_p50", word_latency, 50, "ms", 1e3)

@@ -5,7 +5,7 @@ runs. Words are drawn from the embedded corpus with frequency-rank
 (Zipf) weights, so common words recur as they do in text; each distinct
 word gets one user (0–4), LOS or NLOS and one simulation seed. The pool
 is the same for every workload seed. With a word pool drawn per seed,
-word accuracy over the 20–30 words a run can write in real time would
+word accuracy over the 25–45 words a run can write in real time would
 be a binomial draw whose quartile spread across seeds is several times
 the bound any end-to-end metric may have; with a fixed pool, accuracy
 and trajectory error are exact, and a change in them is a change in the
@@ -22,10 +22,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,8 +190,9 @@ class WordPool:
     def simulate(self, entries) -> None:
         """Load or simulate the entries not held yet.
 
-        Simulation only builds inputs and is never timed, so it runs on
-        up to two processes; each run depends only on its entry.
+        Simulation only builds inputs and is never timed. It runs in
+        this process (about 0.3 s a word), so a run starts no process
+        that could outlive it.
         """
         todo = []
         for entry in {e.word: e for e in entries if e.word not in self.runs}.values():
@@ -203,13 +202,7 @@ class WordPool:
                     self.runs[entry.word] = pickle.load(handle)
             else:
                 todo.append(entry)
-        workers = min(2, os.cpu_count() or 1, len(todo))
-        if workers > 1:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                runs = list(pool.map(_simulate, todo))
-        else:
-            runs = [_simulate(entry) for entry in todo]
+        runs = [_simulate(entry) for entry in todo]
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         for entry, run in zip(todo, runs):
             self.runs[entry.word] = run

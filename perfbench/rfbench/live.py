@@ -34,11 +34,11 @@ from .common import (
     overhead_share,
     peak_rss_mb,
     settle,
+    tail_percentiles,
     word_errors_cm,
 )
 from .inputs import WordPool, build_system, merged_stream, schedule_writers
 from .openloop import Schedule, due_offsets
-from .stats import percentile
 from .sweep import trace_research_path
 from .tracing import SpanRecorder
 
@@ -181,9 +181,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
         points=len(live.point_latency),
         # The tail is set by which recognitions collide on the ingest
         # thread, which the writers' schedule decides: shown, not gated.
-        point_latency_ms_tail={
-            f"p{q}": 1e3 * percentile(live.point_latency, q) for q in (90, 99)
-        },
+        point_latency_ms_tail=tail_percentiles(live.point_latency, scale=1e3),
         phase_seconds=phases.seconds,
     )
 

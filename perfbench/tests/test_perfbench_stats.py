@@ -24,3 +24,11 @@ def test_percentile_refuses_a_thin_tail():
     assert percentile([], 50) is None
     # One sample is every percentile's maximum: never reportable.
     assert percentile([3.0], 99) is None
+
+
+def test_info_tails_show_unsupported_percentiles_as_none():
+    from rfbench.common import tail_percentiles
+
+    assert tail_percentiles(list(range(19))) == {"p90": None, "p99": None}
+    tails = tail_percentiles(list(range(1, 1001)), scale=1e3)
+    assert tails == {"p90": 900e3, "p99": 990e3}
